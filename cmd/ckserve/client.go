@@ -93,11 +93,11 @@ func submitMain(args []string) {
 	c := newClient(*addr, time.Minute)
 	job, err := c.submit([]byte(*spec), 10)
 	if err != nil {
-		fatal(err)
+		binary.Fatal(err)
 	}
 	if !*noWait {
 		if job, err = c.wait(job.ID, *timeout); err != nil {
-			fatal(err)
+			binary.Fatal(err)
 		}
 	}
 	out, _ := json.MarshalIndent(job, "", "  ")

@@ -25,10 +25,18 @@ import (
 	"time"
 
 	"repro/internal/charm"
-	"repro/internal/netmodel"
-	"repro/internal/netrt"
+	"repro/internal/launch"
 	"repro/internal/serve"
 )
+
+// ckserve serves the live backends (sim runs are one-shot cmds). Kills
+// ride on individual jobs, so the daemon registers no -chaos.kill and
+// keeps its mesh rejoinable for its whole lifetime.
+var binary = launch.Binary{
+	Name:     "ckserve",
+	Backends: []charm.Backend{charm.RealBackend, charm.NetBackend},
+	Serving:  true,
+}
 
 func main() {
 	if len(os.Args) > 1 {
@@ -46,51 +54,24 @@ func main() {
 
 func daemonMain() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8097", "HTTP listen address (rank 0 only)")
-		platName    = flag.String("platform", "abe", "abe | bgp (modelled CPU-cost platform)")
-		backendName = flag.String("backend", "real", "real (goroutines + shared memory) | net (multiple OS processes over TCP)")
-		queueDepth  = flag.Int("queue", 16, "admission queue depth; submissions beyond it get 429")
-		attempts    = flag.Int("attempts", charm.DefaultRecoveryAttempts, "per-job recovery attempts after a rank death (net)")
-		parallel    = flag.Int("parallel", 1, "concurrent jobs (real backend only; net runs one at a time)")
-		reportWait  = flag.Duration("report.wait", 60*time.Second, "how long rank 0 waits for worker job reports")
+		addr       = flag.String("addr", "127.0.0.1:8097", "HTTP listen address (rank 0 only)")
+		queueDepth = flag.Int("queue", 16, "admission queue depth; submissions beyond it get 429")
+		attempts   = flag.Int("attempts", charm.DefaultRecoveryAttempts, "per-job recovery attempts after a rank death (net)")
+		parallel   = flag.Int("parallel", 1, "concurrent jobs (real backend only; net runs one at a time)")
+		reportWait = flag.Duration("report.wait", 60*time.Second, "how long rank 0 waits for worker job reports")
 	)
-	netCfg := netrt.RegisterFlags()
+	lf := binary.Register(flag.CommandLine)
 	flag.Parse()
 
-	plat, err := platform(*platName)
-	if err != nil {
-		fatal(err)
-	}
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	if be == charm.SimBackend {
-		fatal(fmt.Errorf("ckserve serves the live backends; run -backend=real or -backend=net (sim runs are one-shot cmds)"))
-	}
-
-	env := serve.Env{Backend: be, Platform: plat}
-	var node *netrt.Node
-	if be == charm.NetBackend {
-		// A serving mesh must be able to outlive any single job: keep
-		// listeners open past bootstrap so Rejoin can rebuild around a
-		// respawned rank.
-		netCfg.Recover = true
-		if node, err = netrt.Start(*netCfg); err != nil {
-			fatal(err)
-		}
-		env.Net = node
-	}
-
-	if node != nil && node.IsWorker() {
+	r := lf.Launch(false, nil)
+	env := serve.Env{Backend: r.Backend, Platform: r.Platform, Net: r.Node}
+	if r.Quiet {
 		// Worker rank: no HTTP, just follow the job announcements until
 		// rank 0 says shutdown.
 		if err := serve.Follow(env, *attempts); err != nil {
-			fmt.Fprintln(os.Stderr, "ckserve worker:", err)
-			node.Close()
-			os.Exit(1)
+			r.Finish([]error{err})
 		}
-		node.Close()
+		r.Finish(nil)
 		return
 	}
 
@@ -102,21 +83,17 @@ func daemonMain() {
 		Parallel:   *parallel,
 	})
 	if err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		r.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go httpSrv.Serve(ln)
-	world := 1
-	if node != nil {
-		world = node.World()
-	}
 	fmt.Printf("ckserve listening on http://%s (backend %s, world %d, kinds %v)\n",
-		ln.Addr(), be, world, serve.Kinds())
+		ln.Addr(), r.Backend, env.World(), serve.Kinds())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -126,25 +103,5 @@ func daemonMain() {
 	httpSrv.Close()
 	srv.Close()
 	serve.AnnounceShutdown(env)
-	if node != nil {
-		if err := node.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ckserve:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-func platform(name string) (*netmodel.Platform, error) {
-	switch name {
-	case "abe", "ib":
-		return netmodel.AbeIB, nil
-	case "bgp":
-		return netmodel.SurveyorBGP, nil
-	}
-	return nil, fmt.Errorf("unknown platform %q", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ckserve:", err)
-	os.Exit(2)
+	r.Finish(nil)
 }

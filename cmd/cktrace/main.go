@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,83 +25,47 @@ import (
 	"repro/internal/apps/matmul"
 	"repro/internal/apps/openatom"
 	"repro/internal/apps/stencil"
-	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/lb"
-	"repro/internal/netmodel"
+	"repro/internal/launch"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
+// The net backend is multi-process: run the apps directly (e.g.
+// stencil -backend=net) and read the counters from each rank's report.
+var binary = launch.Binary{
+	Name:     "cktrace",
+	Backends: []charm.Backend{charm.SimBackend, charm.RealBackend},
+	Groups:   launch.SimChaos | launch.LB,
+}
+
 func main() {
 	var (
-		appName     = flag.String("app", "stencil", "stencil | matmul | openatom | fem")
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		pes         = flag.Int("pes", 8, "processing elements")
-		modeName    = flag.String("mode", "ckd", "msg | ckd")
-		out         = flag.String("out", "", "write Chrome trace JSON here instead of the summary")
-		backendName = flag.String("backend", "sim", "sim (timeline + spans) | real (wall clock, counter summary)")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		lbEvery     = flag.Int("lb.every", 0, "run a load-balancing round every N barriers (stencil only; 0 disables)")
-		lbStrategy  = flag.String("lb.strategy", "greedy", "rebalancing strategy: greedy | none")
-		skew        = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute (stencil only)")
+		appName  = flag.String("app", "stencil", "stencil | matmul | openatom | fem")
+		pes      = flag.Int("pes", 8, "processing elements")
+		modeName = flag.String("mode", "ckd", "msg | ckd")
+		out      = flag.String("out", "", "write Chrome trace JSON here instead of the summary")
+		skew     = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute (stencil only)")
 	)
+	lf := binary.Register(flag.CommandLine)
 	flag.Parse()
 
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	switch be {
-	case charm.SimBackend:
-	case charm.RealBackend:
-		// The timeline recorder replays virtual time; on the live backend
-		// cktrace reports the runtime's trace counters instead.
-		if *out != "" {
-			fatal(fmt.Errorf("-out (Chrome trace JSON) needs the sim backend's virtual timeline"))
-		}
-		if *faultSpec != "" || *noise || *reliable || *watchdog != "off" {
-			fatal(fmt.Errorf("chaos scenarios (faults, noise, reliability, watchdog) are sim-only"))
-		}
-	default:
-		fatal(fmt.Errorf("the net backend is multi-process; run the apps directly (e.g. stencil -backend=net) and read the counters from each rank's report"))
-	}
-
-	var plat *netmodel.Platform
-	switch *platName {
-	case "abe", "ib":
-		plat = netmodel.AbeIB
-	case "bgp":
-		plat = netmodel.SurveyorBGP
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platName))
-	}
 	ckd := *modeName == "ckd"
 	if !ckd && *modeName != "msg" {
-		fatal(fmt.Errorf("unknown mode %q", *modeName))
+		binary.Fatal(fmt.Errorf("unknown mode %q", *modeName))
 	}
-	if (*lbEvery > 0 || *skew > 0) && *appName != "stencil" {
-		fatal(fmt.Errorf("-lb.every/-skew trace the stencil workload only"))
-	}
-	if *lbEvery > 0 {
-		if s, err := lb.ParseStrategy(*lbStrategy); err != nil {
-			fatal(err)
-		} else if s == nil {
-			fatal(fmt.Errorf("-lb.every needs a strategy (try -lb.strategy=greedy)"))
+	r := lf.Launch(false, func(r *launch.Run) error {
+		// The timeline recorder replays virtual time; on the live backend
+		// cktrace reports the runtime's trace counters instead.
+		if *out != "" && r.Backend != charm.SimBackend {
+			return errors.New("-out (Chrome trace JSON) needs the sim backend's virtual timeline")
 		}
-	}
-
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
+		if (r.LBEvery > 0 || *skew > 0) && *appName != "stencil" {
+			return errors.New("-lb.every/-skew trace the stencil workload only")
+		}
+		return nil
+	})
+	plat, be, sc := r.Platform, r.Backend, r.Chaos
 
 	var tl *trace.Timeline
 	if be == charm.SimBackend {
@@ -119,7 +84,7 @@ func main() {
 			Platform: plat, Mode: mode, PEs: *pes, Virtualization: 4,
 			NX: 128, NY: 128, NZ: 64, Iters: 3, Warmup: 1,
 			Backend: be, Timeline: tl, Chaos: sc,
-			LBEvery: *lbEvery, LBStrategy: *lbStrategy,
+			LBEvery: r.LBEvery, LBStrategy: r.LBStrategy,
 			Skew: *skew,
 		})
 		total = res.IterTime * sim.Time(res.Iters)
@@ -160,16 +125,10 @@ func main() {
 		total = res.IterTime * sim.Time(res.Iters)
 		errs, counters = res.Errors, res.Counters
 	default:
-		fatal(fmt.Errorf("unknown app %q", *appName))
+		binary.Fatal(fmt.Errorf("unknown app %q", *appName))
 	}
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "cktrace: runtime violation: %v\n", e)
-	}
-	defer func() {
-		if len(errs) > 0 {
-			os.Exit(1)
-		}
-	}()
+
+	defer r.Finish(errs)
 
 	if be == charm.RealBackend {
 		fmt.Printf("%s on %d PEs (%s parameters), mode %s, real backend: measured window %v\n",
@@ -181,11 +140,11 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			binary.Fatal(err)
 		}
 		defer f.Close()
 		if err := tl.WriteChromeTrace(f); err != nil {
-			fatal(err)
+			binary.Fatal(err)
 		}
 		fmt.Printf("wrote %d spans to %s\n", len(tl.Spans()), *out)
 		return
@@ -205,7 +164,7 @@ func main() {
 	for pe := 0; pe < *pes; pe++ {
 		u := tl.Utilization(pe, horizon)
 		bar := int(u * 40)
-		fmt.Printf("  PE %3d  %6.1f%%  %s\n", pe, u*100, barString(bar))
+		fmt.Printf("  PE %3d  %6.1f%%  %s\n", pe, u*100, strings.Repeat("#", bar))
 	}
 	sort.Slice(spans, func(i, j int) bool {
 		return spans[i].End-spans[i].Start > spans[j].End-spans[j].Start
@@ -257,17 +216,4 @@ func printCounters(counters map[string]int64) {
 			fmt.Printf("  %-18s %12d\n", k, counters[k])
 		}
 	}
-}
-
-func barString(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cktrace:", err)
-	os.Exit(2)
 }

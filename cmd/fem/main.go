@@ -8,149 +8,83 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/apps/fem"
-	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/netmodel"
-	"repro/internal/netrt"
+	"repro/internal/launch"
 )
+
+var binary = launch.Binary{
+	Name:     "fem",
+	Backends: []charm.Backend{charm.SimBackend, charm.RealBackend, charm.NetBackend},
+	Groups:   launch.SimChaos | launch.Kill | launch.Ckpt,
+}
 
 func main() {
 	var (
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		pes         = flag.Int("pes", 16, "processing elements")
-		mesh        = flag.String("mesh", "512x512", "quad grid NXxNY (2*NX*NY triangles)")
-		vr          = flag.Int("vr", 2, "mesh partitions per PE")
-		iters       = flag.Int("iters", 3, "measured iterations")
-		warmup      = flag.Int("warmup", 1, "warmup iterations")
-		modeName    = flag.String("mode", "ckd", "msg | ckd")
-		compare     = flag.Bool("compare", false, "run both modes and report the improvement")
-		validate    = flag.Bool("validate", false, "move real vertex data and verify against the serial reference (small meshes)")
-		backendName = flag.String("backend", "sim", "sim (modelled network) | real (goroutines + shared memory) | net (multiple OS processes over TCP)")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		ckptEvery   = flag.Int("ckpt.every", 0, "checkpoint every N reduction barriers, 0 disables (net backend only)")
-		ckptDir     = flag.String("ckpt.dir", "", "checkpoint directory, shared by every rank (net backend only)")
-		killSpec    = flag.String("chaos.kill", "", `kill -9 a worker rank mid-run: "RANK@STEP" (net backend only; the world recovers and reruns)`)
+		pes      = flag.Int("pes", 16, "processing elements")
+		mesh     = flag.String("mesh", "512x512", "quad grid NXxNY (2*NX*NY triangles)")
+		vr       = flag.Int("vr", 2, "mesh partitions per PE")
+		iters    = flag.Int("iters", 3, "measured iterations")
+		warmup   = flag.Int("warmup", 1, "warmup iterations")
+		modeName = flag.String("mode", "ckd", "msg | ckd")
+		compare  = flag.Bool("compare", false, "run both modes and report the improvement")
+		validate = flag.Bool("validate", false, "move real vertex data and verify against the serial reference (small meshes)")
 	)
-	netCfg := netrt.RegisterFlags()
+	lf := binary.Register(flag.CommandLine)
 	flag.Parse()
 
-	var plat *netmodel.Platform
-	switch *platName {
-	case "abe", "ib":
-		plat = netmodel.AbeIB
-	case "bgp":
-		plat = netmodel.SurveyorBGP
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platName))
-	}
 	parts := strings.Split(*mesh, "x")
 	if len(parts) != 2 {
-		fatal(fmt.Errorf("mesh %q not NXxNY", *mesh))
+		binary.Fatal(fmt.Errorf("mesh %q not NXxNY", *mesh))
 	}
 	nx, err1 := strconv.Atoi(parts[0])
 	ny, err2 := strconv.Atoi(parts[1])
 	if err1 != nil || err2 != nil || nx <= 0 || ny <= 0 {
-		fatal(fmt.Errorf("bad mesh %q", *mesh))
+		binary.Fatal(fmt.Errorf("bad mesh %q", *mesh))
 	}
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
+	mode := fem.Ckd
+	switch {
+	case *compare, *modeName == "ckd":
+	case *modeName == "msg":
+		mode = fem.Msg
+	default:
+		binary.Fatal(fmt.Errorf("unknown mode %q", *modeName))
 	}
-	if be != charm.SimBackend && (*faultSpec != "" || *noise || *reliable || *watchdog != "off") {
-		fatal(fmt.Errorf("-faults/-noise/-reliable/-watchdog model simulated failures and are sim-only (drop them or use -backend=sim)"))
-	}
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	kill, err := chaos.ParseKill(*killSpec)
-	if err != nil {
-		fatal(err)
-	}
-	if (*ckptEvery > 0) != (*ckptDir != "") {
-		fatal(fmt.Errorf("-ckpt.every and -ckpt.dir go together (got every=%d, dir=%q)", *ckptEvery, *ckptDir))
-	}
-	recovery := *ckptEvery > 0 || kill != nil
-	if recovery {
-		if be != charm.NetBackend {
-			fatal(fmt.Errorf("-ckpt.* and -chaos.kill exercise rank-death recovery and need -backend=net"))
-		}
-		if *compare {
-			fatal(fmt.Errorf("-compare reruns both modes on one mesh and cannot combine with recovery flags (pick one -mode)"))
-		}
-		// Keep every rank's listener open past bootstrap so Rejoin can
-		// rebuild the mesh around a respawned rank.
-		netCfg.Recover = true
-	}
-	var node *netrt.Node
-	if be == charm.NetBackend {
-		if node, err = netrt.Start(*netCfg); err != nil {
-			fatal(err)
-		}
-	}
-	// Worker ranks compute and validate their hosted parts; the report
-	// (and the exit status of the whole world) belongs to rank 0.
-	quiet := node != nil && node.IsWorker()
+	r := lf.Launch(*compare, nil)
 	cfg := fem.Config{
-		Platform: plat,
+		Platform: r.Platform,
+		Mode:     mode,
 		PEs:      *pes, Virtualization: *vr,
 		NX: nx, NY: ny,
 		Iters: *iters, Warmup: *warmup,
 		Validate: *validate,
-		Backend:  be,
-		Net:      node,
-		Chaos:    sc,
-		Kill:     kill,
-	}
-	if *ckptEvery > 0 {
-		cfg.Ckpt = &charm.CkptOptions{Dir: *ckptDir, Every: *ckptEvery}
+		Backend:  r.Backend,
+		Net:      r.Node,
+		Chaos:    r.Chaos,
+		Kill:     r.Kill,
+		Ckpt:     r.Ckpt,
 	}
 	if *compare {
 		msg, ckd, pct := fem.Improvement(cfg)
-		if !quiet {
+		if !r.Quiet {
 			fmt.Printf("fem %s (%d triangles) on %d PEs of %s, %d partitions (%dx%d)\n",
-				*mesh, 2*nx*ny, *pes, plat.Name, msg.Parts, msg.PartGrid[0], msg.PartGrid[1])
+				*mesh, 2*nx*ny, *pes, r.Platform.Name, msg.Parts, msg.PartGrid[0], msg.PartGrid[1])
 			fmt.Printf("  msg: %v per iteration\n", msg.IterTime)
 			fmt.Printf("  ckd: %v per iteration (%d channels)\n", ckd.IterTime, ckd.Channels)
 			fmt.Printf("  improvement: %.2f%%\n", pct)
 		}
-		reportErrors("fem", closeNode(node, append(msg.Errors, ckd.Errors...)))
+		r.Finish(append(msg.Errors, ckd.Errors...))
 		return
 	}
-	switch *modeName {
-	case "msg":
-		cfg.Mode = fem.Msg
-	case "ckd":
-		cfg.Mode = fem.Ckd
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeName))
-	}
 	var res fem.Result
-	if recovery {
-		// Every rank's driver retries through the same recovery loop: on
-		// a recoverable rank death the mesh rebuilds (respawning the
-		// victim), and the re-run resumes from the newest committed
-		// checkpoint — or from scratch when none was taken.
-		res.Errors = charm.RunWithRecovery(node, charm.DefaultRecoveryAttempts, func() []error {
-			res = fem.Run(cfg)
-			return res.Errors
-		})
-	} else {
+	res.Errors = r.Do(func() []error {
 		res = fem.Run(cfg)
-	}
-	if !quiet {
+		return res.Errors
+	})
+	if !r.Quiet {
 		fmt.Printf("fem %s, mode %v, %d PEs: %v per iteration (%d partitions, %d channels)\n",
 			*mesh, cfg.Mode, *pes, res.IterTime, res.Parts, res.Channels)
 		if *validate {
@@ -159,35 +93,5 @@ func main() {
 			fmt.Printf("  residual %.6g, shared-vertex consistency: %v\n", res.Residual, res.SharedConsistent)
 		}
 	}
-	reportErrors("fem", closeNode(node, res.Errors))
-}
-
-// closeNode tears the net-backend mesh down (reaping self-spawned
-// workers) and folds any teardown failure — e.g. a worker whose local
-// validation exited non-zero — into the run's error list.
-func closeNode(node *netrt.Node, errs []error) []error {
-	if node == nil {
-		return errs
-	}
-	if err := node.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errs
-}
-
-// reportErrors surfaces runtime contract violations and unrecovered
-// faults on stderr and exits non-zero.
-func reportErrors(prog string, errs []error) {
-	if len(errs) == 0 {
-		return
-	}
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "%s: runtime violation: %v\n", prog, e)
-	}
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fem:", err)
-	os.Exit(2)
+	r.Finish(res.Errors)
 }

@@ -7,115 +7,61 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/apps/matmul"
-	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/netmodel"
-	"repro/internal/netrt"
+	"repro/internal/launch"
 )
+
+var binary = launch.Binary{
+	Name:     "matmul",
+	Backends: []charm.Backend{charm.SimBackend, charm.RealBackend, charm.NetBackend},
+	Groups:   launch.SimChaos | launch.Kill | launch.Ckpt,
+}
 
 func main() {
 	var (
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		pes         = flag.Int("pes", 64, "processing elements")
-		n           = flag.Int("n", 2048, "matrix edge")
-		iters       = flag.Int("iters", 2, "measured multiplies")
-		warmup      = flag.Int("warmup", 1, "warmup multiplies")
-		modeName    = flag.String("mode", "ckd", "msg | ckd")
-		compare     = flag.Bool("compare", false, "run both modes and report the improvement")
-		validate    = flag.Bool("validate", false, "move real matrices and verify the product (small n)")
-		backendName = flag.String("backend", "sim", "sim (modelled network) | real (goroutines + shared memory) | net (multiple OS processes over TCP)")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		ckptEvery   = flag.Int("ckpt.every", 0, "checkpoint every N reduction barriers, 0 disables (net backend only)")
-		ckptDir     = flag.String("ckpt.dir", "", "checkpoint directory, shared by every rank (net backend only)")
-		killSpec    = flag.String("chaos.kill", "", `kill -9 a worker rank mid-run: "RANK@STEP" (net backend only; the world recovers and reruns)`)
+		pes      = flag.Int("pes", 64, "processing elements")
+		n        = flag.Int("n", 2048, "matrix edge")
+		iters    = flag.Int("iters", 2, "measured multiplies")
+		warmup   = flag.Int("warmup", 1, "warmup multiplies")
+		modeName = flag.String("mode", "ckd", "msg | ckd")
+		compare  = flag.Bool("compare", false, "run both modes and report the improvement")
+		validate = flag.Bool("validate", false, "move real matrices and verify the product (small n)")
 	)
-	netCfg := netrt.RegisterFlags()
+	lf := binary.Register(flag.CommandLine)
 	flag.Parse()
 
-	var plat *netmodel.Platform
-	switch *platName {
-	case "abe", "ib":
-		plat = netmodel.AbeIB
-	case "bgp":
-		plat = netmodel.SurveyorBGP
+	if err := matmul.CheckGeometry(*pes, *n); err != nil {
+		binary.Fatal(err)
+	}
+	mode := matmul.Ckd
+	switch {
+	case *compare, *modeName == "ckd":
+	case *modeName == "msg":
+		mode = matmul.Msg
 	default:
-		fmt.Fprintf(os.Stderr, "matmul: unknown platform %q\n", *platName)
-		os.Exit(2)
+		binary.Fatal(fmt.Errorf("unknown mode %q", *modeName))
 	}
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "matmul:", err)
-		os.Exit(2)
-	}
-	if be != charm.SimBackend && (*faultSpec != "" || *noise || *reliable || *watchdog != "off") {
-		fmt.Fprintln(os.Stderr, "matmul: -faults/-noise/-reliable/-watchdog model simulated failures and are sim-only (drop them or use -backend=sim)")
-		os.Exit(2)
-	}
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "matmul:", err)
-		os.Exit(2)
-	}
-	kill, err := chaos.ParseKill(*killSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "matmul:", err)
-		os.Exit(2)
-	}
-	if (*ckptEvery > 0) != (*ckptDir != "") {
-		fmt.Fprintf(os.Stderr, "matmul: -ckpt.every and -ckpt.dir go together (got every=%d, dir=%q)\n", *ckptEvery, *ckptDir)
-		os.Exit(2)
-	}
-	recovery := *ckptEvery > 0 || kill != nil
-	if recovery {
-		if be != charm.NetBackend {
-			fmt.Fprintln(os.Stderr, "matmul: -ckpt.* and -chaos.kill exercise rank-death recovery and need -backend=net")
-			os.Exit(2)
-		}
-		if *compare {
-			fmt.Fprintln(os.Stderr, "matmul: -compare reruns both modes on one mesh and cannot combine with recovery flags (pick one -mode)")
-			os.Exit(2)
-		}
-		netCfg.Recover = true
-	}
-	var node *netrt.Node
-	if be == charm.NetBackend {
-		if node, err = netrt.Start(*netCfg); err != nil {
-			fmt.Fprintln(os.Stderr, "matmul:", err)
-			os.Exit(2)
-		}
-	}
-	// Worker ranks compute and validate their hosted strips; the report
-	// (and the exit status of the whole world) belongs to rank 0.
-	quiet := node != nil && node.IsWorker()
+	r := lf.Launch(*compare, nil)
 	cfg := matmul.Config{
-		Platform: plat,
+		Platform: r.Platform,
+		Mode:     mode,
 		PEs:      *pes,
 		N:        *n,
 		Iters:    *iters, Warmup: *warmup,
 		Validate: *validate,
-		Backend:  be,
-		Net:      node,
-		Chaos:    sc,
-		Kill:     kill,
-	}
-	if *ckptEvery > 0 {
-		cfg.Ckpt = &charm.CkptOptions{Dir: *ckptDir, Every: *ckptEvery}
+		Backend:  r.Backend,
+		Net:      r.Node,
+		Chaos:    r.Chaos,
+		Kill:     r.Kill,
+		Ckpt:     r.Ckpt,
 	}
 	if *compare {
 		msg, ckd, pct := matmul.Improvement(cfg)
-		if !quiet {
+		if !r.Quiet {
 			fmt.Printf("matmul %dx%d on %d PEs of %s (chare grid %dx%dx%d)\n",
-				*n, *n, *pes, plat.Name, msg.Grid[0], msg.Grid[1], msg.Grid[2])
+				*n, *n, *pes, r.Platform.Name, msg.Grid[0], msg.Grid[1], msg.Grid[2])
 			fmt.Printf("  msg: %v per multiply\n", msg.IterTime)
 			fmt.Printf("  ckd: %v per multiply\n", ckd.IterTime)
 			fmt.Printf("  improvement: %.2f%%\n", pct)
@@ -123,61 +69,19 @@ func main() {
 				fmt.Printf("  max error: msg %.2e, ckd %.2e\n", msg.MaxError, ckd.MaxError)
 			}
 		}
-		reportErrors(closeNode(node, append(msg.Errors, ckd.Errors...)))
+		r.Finish(append(msg.Errors, ckd.Errors...))
 		return
 	}
-	switch *modeName {
-	case "msg":
-		cfg.Mode = matmul.Msg
-	case "ckd":
-		cfg.Mode = matmul.Ckd
-	default:
-		fmt.Fprintf(os.Stderr, "matmul: unknown mode %q\n", *modeName)
-		os.Exit(2)
-	}
 	var res matmul.Result
-	if recovery {
-		// Every rank's driver retries through the same recovery loop:
-		// on a recoverable rank death the mesh rebuilds (respawning the
-		// victim), and the re-run resumes from the newest committed
-		// checkpoint — or from scratch when none was taken.
-		res.Errors = charm.RunWithRecovery(node, charm.DefaultRecoveryAttempts, func() []error {
-			res = matmul.Run(cfg)
-			return res.Errors
-		})
-	} else {
+	res.Errors = r.Do(func() []error {
 		res = matmul.Run(cfg)
-	}
-	if !quiet {
+		return res.Errors
+	})
+	if !r.Quiet {
 		fmt.Printf("matmul %dx%d, mode %v, %d PEs: %v per multiply\n", *n, *n, cfg.Mode, *pes, res.IterTime)
 		if *validate {
 			fmt.Printf("  max error %.2e\n", res.MaxError)
 		}
 	}
-	reportErrors(closeNode(node, res.Errors))
-}
-
-// closeNode tears the net-backend mesh down (reaping self-spawned
-// workers) and folds any teardown failure — e.g. a worker whose local
-// validation exited non-zero — into the run's error list.
-func closeNode(node *netrt.Node, errs []error) []error {
-	if node == nil {
-		return errs
-	}
-	if err := node.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errs
-}
-
-// reportErrors surfaces runtime contract violations and unrecovered
-// faults on stderr and exits non-zero.
-func reportErrors(errs []error) {
-	if len(errs) == 0 {
-		return
-	}
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "matmul: runtime violation: %v\n", e)
-	}
-	os.Exit(1)
+	r.Finish(res.Errors)
 }

@@ -7,56 +7,38 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/apps/openatom"
-	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/netmodel"
-	"repro/internal/netrt"
+	"repro/internal/launch"
 )
+
+// The proxy does not checkpoint, so it registers neither -ckpt.* nor
+// -chaos.kill (see DESIGN.md §10).
+var binary = launch.Binary{
+	Name:     "openatom",
+	Backends: []charm.Backend{charm.SimBackend, charm.RealBackend, charm.NetBackend},
+	Groups:   launch.SimChaos,
+}
 
 func main() {
 	var (
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		pes         = flag.Int("pes", 64, "processing elements")
-		cores       = flag.Int("cores-per-node", 0, "override cores per node (paper's Abe study: 2)")
-		nstates     = flag.Int("states", 256, "electronic states")
-		nplanes     = flag.Int("planes", 16, "planes per state")
-		grain       = flag.Int("grain", 64, "PairCalculator state-block size")
-		points      = flag.Int("points", 4096, "complex coefficients per (state, plane)")
-		fftWeight   = flag.Float64("fft-weight", 24, "relative weight of the non-PC phase")
-		steps       = flag.Int("steps", 2, "measured time steps")
-		warmup      = flag.Int("warmup", 1, "warmup steps")
-		scopeName   = flag.String("scope", "full", "full | pc-only")
-		modeName    = flag.String("mode", "ckd", "msg | ckd | ckd-naive")
-		compare     = flag.Bool("compare", false, "run msg and ckd and report the improvement")
-		backendName = flag.String("backend", "sim", "sim (modelled network) | real (goroutines + shared memory) | net (multiple OS processes over TCP)")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		ckptEvery   = flag.Int("ckpt.every", 0, "checkpoint every N reduction barriers (openatom does not checkpoint; rejected)")
-		ckptDir     = flag.String("ckpt.dir", "", "checkpoint directory (openatom does not checkpoint; rejected)")
-		killSpec    = flag.String("chaos.kill", "", `kill -9 a worker rank mid-run: "RANK@STEP" (needs checkpointing; rejected)`)
+		pes       = flag.Int("pes", 64, "processing elements")
+		cores     = flag.Int("cores-per-node", 0, "override cores per node (paper's Abe study: 2)")
+		nstates   = flag.Int("states", 256, "electronic states")
+		nplanes   = flag.Int("planes", 16, "planes per state")
+		grain     = flag.Int("grain", 64, "PairCalculator state-block size")
+		points    = flag.Int("points", 4096, "complex coefficients per (state, plane)")
+		fftWeight = flag.Float64("fft-weight", 24, "relative weight of the non-PC phase")
+		steps     = flag.Int("steps", 2, "measured time steps")
+		warmup    = flag.Int("warmup", 1, "warmup steps")
+		scopeName = flag.String("scope", "full", "full | pc-only")
+		modeName  = flag.String("mode", "ckd", "msg | ckd | ckd-naive")
+		compare   = flag.Bool("compare", false, "run msg and ckd and report the improvement")
 	)
-	netCfg := netrt.RegisterFlags()
+	lf := binary.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *ckptEvery != 0 || *ckptDir != "" || *killSpec != "" {
-		fatal(fmt.Errorf("-ckpt.every/-ckpt.dir/-chaos.kill exercise checkpoint-based rank-death recovery, which the openatom proxy does not implement; use pingpong, stencil, matmul or fem (see DESIGN.md §10)"))
-	}
-
-	var plat *netmodel.Platform
-	switch *platName {
-	case "abe", "ib":
-		plat = netmodel.AbeIB
-	case "bgp":
-		plat = netmodel.SurveyorBGP
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platName))
-	}
 	var scope openatom.Scope
 	switch *scopeName {
 	case "full":
@@ -64,97 +46,47 @@ func main() {
 	case "pc-only", "pc":
 		scope = openatom.PCOnly
 	default:
-		fatal(fmt.Errorf("unknown scope %q", *scopeName))
+		binary.Fatal(fmt.Errorf("unknown scope %q", *scopeName))
 	}
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
+	mode := openatom.Ckd
+	switch {
+	case *compare, *modeName == "ckd":
+	case *modeName == "msg":
+		mode = openatom.Msg
+	case *modeName == "ckd-naive":
+		mode = openatom.CkdNaive
+	default:
+		binary.Fatal(fmt.Errorf("unknown mode %q", *modeName))
 	}
-	if be != charm.SimBackend && (*faultSpec != "" || *noise || *reliable || *watchdog != "off") {
-		fatal(fmt.Errorf("-faults/-noise/-reliable/-watchdog model simulated failures and are sim-only (drop them or use -backend=sim)"))
-	}
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	var node *netrt.Node
-	if be == charm.NetBackend {
-		if node, err = netrt.Start(*netCfg); err != nil {
-			fatal(err)
-		}
-	}
-	// Worker ranks compute their hosted elements; the report (and the
-	// exit status of the whole world) belongs to rank 0.
-	quiet := node != nil && node.IsWorker()
+	r := lf.Launch(*compare, nil)
 	cfg := openatom.Config{
-		Platform: plat,
+		Platform: r.Platform,
+		Mode:     mode,
 		Scope:    scope,
 		PEs:      *pes, CoresPerNode: *cores,
 		NStates: *nstates, NPlanes: *nplanes, Grain: *grain, Points: *points,
 		FFTWeight: *fftWeight,
 		Steps:     *steps, Warmup: *warmup,
-		Backend: be,
-		Net:     node,
-		Chaos:   sc,
+		Backend: r.Backend,
+		Net:     r.Node,
+		Chaos:   r.Chaos,
 	}
 	if *compare {
 		msg, ckd, pct := openatom.Improvement(cfg)
-		if !quiet {
+		if !r.Quiet {
 			fmt.Printf("openatom proxy on %d PEs of %s, scope %v (%d CkDirect channels)\n",
-				*pes, plat.Name, scope, ckd.Channels)
+				*pes, r.Platform.Name, scope, ckd.Channels)
 			fmt.Printf("  msg: %v per step\n", msg.StepTime)
 			fmt.Printf("  ckd: %v per step\n", ckd.StepTime)
 			fmt.Printf("  improvement: %.2f%%\n", pct)
 		}
-		reportErrors(closeNode(node, append(msg.Errors, ckd.Errors...)))
+		r.Finish(append(msg.Errors, ckd.Errors...))
 		return
 	}
-	switch *modeName {
-	case "msg":
-		cfg.Mode = openatom.Msg
-	case "ckd":
-		cfg.Mode = openatom.Ckd
-	case "ckd-naive":
-		cfg.Mode = openatom.CkdNaive
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeName))
-	}
 	res := openatom.Run(cfg)
-	if !quiet {
+	if !r.Quiet {
 		fmt.Printf("openatom proxy, mode %v, scope %v, %d PEs: %v per step (%d channels)\n",
 			cfg.Mode, scope, *pes, res.StepTime, res.Channels)
 	}
-	reportErrors(closeNode(node, res.Errors))
-}
-
-// closeNode tears the net-backend mesh down (reaping self-spawned
-// workers) and folds any teardown failure into the run's error list.
-func closeNode(node *netrt.Node, errs []error) []error {
-	if node == nil {
-		return errs
-	}
-	if err := node.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errs
-}
-
-// reportErrors surfaces runtime contract violations and unrecovered
-// faults on stderr and exits non-zero.
-func reportErrors(errs []error) {
-	if len(errs) == 0 {
-		return
-	}
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "openatom: runtime violation: %v\n", e)
-	}
-	os.Exit(1)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "openatom:", err)
-	os.Exit(2)
+	r.Finish(res.Errors)
 }

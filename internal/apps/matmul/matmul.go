@@ -123,27 +123,39 @@ func chooseGrid(pes int) [3]int {
 	return g
 }
 
+// CheckGeometry reports whether an n×n product decomposes over pes PEs:
+// n must divide evenly by the near-cubic chare grid chosen for pes and
+// by the shard subdivisions of each block. Run panics on a geometry it
+// rejects; launchers and the job daemon call it first so a bad request
+// is a configuration error, not a crashed run.
+func CheckGeometry(pes, n int) error {
+	if pes <= 0 || n <= 0 {
+		return fmt.Errorf("PEs and N must be positive (got pes=%d, n=%d)", pes, n)
+	}
+	grid := chooseGrid(pes)
+	for d := 0; d < 3; d++ {
+		if n%grid[d] != 0 {
+			return fmt.Errorf("n=%d not divisible by the %d-PE grid %v (try a power of two)", n, pes, grid)
+		}
+	}
+	if (n/grid[0])%grid[1] != 0 || (n/grid[2])%grid[0] != 0 || (n/grid[0])%grid[2] != 0 {
+		return fmt.Errorf("n=%d incompatible with the %d-PE grid %v shard split (try a power of two)", n, pes, grid)
+	}
+	return nil
+}
+
 // Run executes one matmul configuration.
 func Run(cfg Config) Result {
-	if cfg.PEs <= 0 {
-		panic("matmul: PEs must be positive")
-	}
 	if cfg.N <= 0 {
 		cfg.N = 2048
 	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 2
 	}
+	if err := CheckGeometry(cfg.PEs, cfg.N); err != nil {
+		panic("matmul: " + err.Error())
+	}
 	grid := chooseGrid(cfg.PEs)
-	for d := 0; d < 3; d++ {
-		if cfg.N%grid[d] != 0 || cfg.N/grid[d] < 1 {
-			panic(fmt.Sprintf("matmul: N=%d not divisible by grid %v", cfg.N, grid))
-		}
-	}
-	// The shard subdivisions must also divide the blocks evenly.
-	if (cfg.N/grid[0])%grid[1] != 0 || (cfg.N/grid[2])%grid[0] != 0 || (cfg.N/grid[0])%grid[2] != 0 {
-		panic(fmt.Sprintf("matmul: N=%d incompatible with grid %v shard split", cfg.N, grid))
-	}
 
 	if cfg.Backend != charm.SimBackend {
 		if cfg.Chaos != nil {

@@ -1,6 +1,7 @@
 package matmul
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -24,6 +25,26 @@ func TestChooseGridNearCubic(t *testing.T) {
 		if g != want {
 			t.Errorf("chooseGrid(%d) = %v, want %v", pes, g, want)
 		}
+	}
+}
+
+// TestCheckGeometry pins the one geometry rule Run, the CLI and the job
+// daemon share: n must divide by the PE grid and its shard split.
+func TestCheckGeometry(t *testing.T) {
+	for _, c := range []struct {
+		pes, n int
+		ok     bool
+	}{
+		{8, 32, true}, {64, 2048, true}, {1, 7, true},
+		{8, 30, false}, {8, 3, false}, {0, 32, false}, {4, 0, false},
+	} {
+		err := CheckGeometry(c.pes, c.n)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckGeometry(%d, %d) = %v, want ok=%v", c.pes, c.n, err, c.ok)
+		}
+	}
+	if err := CheckGeometry(8, 30); err == nil || !strings.Contains(err.Error(), "[2 2 2]") {
+		t.Errorf("CheckGeometry(8, 30) = %v, want an error naming the grid [2 2 2]", err)
 	}
 }
 

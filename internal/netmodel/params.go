@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/machine"
@@ -312,6 +313,18 @@ var SurveyorBGP = &Platform{
 var Platforms = map[string]*Platform{
 	AbeIB.Name:       AbeIB,
 	SurveyorBGP.Name: SurveyorBGP,
+}
+
+// ParsePlatform maps a -platform flag value to a calibrated machine:
+// abe (alias ib, infiniband) or bgp (alias bluegene, surveyor).
+func ParsePlatform(name string) (*Platform, error) {
+	switch name {
+	case "abe", "ib", "infiniband":
+		return AbeIB, nil
+	case "bgp", "bluegene", "surveyor":
+		return SurveyorBGP, nil
+	}
+	return nil, fmt.Errorf("unknown platform %q (want abe|bgp)", name)
 }
 
 // Validate checks all regime tables of the platform.

@@ -364,10 +364,18 @@ func TestShmNoFdLeakAcrossEpochs(t *testing.T) {
 		t.Fatalf("%d memfds open before the test", before)
 	}
 
+	// The respawn hook installs rank 1's replacement from Rejoin's
+	// goroutine, possibly after Rejoin has returned on rank 0, so every
+	// use of nodes works on a snapshot taken under mu.
 	var mu sync.Mutex
 	nodes := make([]*Node, 2)
+	snapshot := func() []*Node {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*Node(nil), nodes...)
+	}
 	respawn := func(r int) {
-		n, err := Start(Config{Rank: r, World: 2, Coord: nodes[0].Addr(), Recover: true})
+		n, err := Start(Config{Rank: r, World: 2, Coord: snapshot()[0].Addr(), Recover: true})
 		if err != nil {
 			t.Errorf("respawn rank %d: %v", r, err)
 			return
@@ -380,7 +388,9 @@ func TestShmNoFdLeakAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mu.Lock()
 	copy(nodes, ns)
+	mu.Unlock()
 	defer func() {
 		mu.Lock()
 		defer mu.Unlock()
@@ -390,7 +400,7 @@ func TestShmNoFdLeakAcrossEpochs(t *testing.T) {
 			}
 		}
 	}()
-	if shmLinkOf(nodes, 0, 1) == nil {
+	if shmLinkOf(ns, 0, 1) == nil {
 		t.Fatal("no shm link after bootstrap")
 	}
 	if got := memfdCount(t); got != 0 {
@@ -399,25 +409,26 @@ func TestShmNoFdLeakAcrossEpochs(t *testing.T) {
 
 	// Kill rank 1 in-process and rebuild the mesh: the new epoch must
 	// negotiate a FRESH segment (remap, not reuse) and still hold no fd.
-	oldLink := shmLinkOf(nodes, 0, 1)
-	nodes[1].Die()
+	oldLink := shmLinkOf(ns, 0, 1)
+	ns[1].Die()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(nodes[0].DeadRanks()) == 0 {
+	for len(ns[0].DeadRanks()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("coordinator never observed the death")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := nodes[0].Rejoin(); err != nil {
+	if err := ns[0].Rejoin(); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
-	mu.Lock()
-	n1 := nodes[1]
-	mu.Unlock()
-	if n1 == nil {
-		t.Fatal("respawn did not install a new node")
+	cur := snapshot()
+	for deadline := time.Now().Add(5 * time.Second); cur[1] == ns[1]; cur = snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("respawn did not install a new node")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	newLink := shmLinkOf(nodes, 0, 1)
+	newLink := shmLinkOf(cur, 0, 1)
 	if newLink == nil {
 		t.Fatal("no shm link after rejoin")
 	}
@@ -427,7 +438,7 @@ func TestShmNoFdLeakAcrossEpochs(t *testing.T) {
 	if got := memfdCount(t); got != 0 {
 		t.Fatalf("%d memfds open after rejoin", got)
 	}
-	exchangeOne(t, nodes)
+	exchangeOne(t, cur)
 
 	mu.Lock()
 	for _, n := range nodes {

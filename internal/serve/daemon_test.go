@@ -259,6 +259,12 @@ func TestHTTPAPI(t *testing.T) {
 	if resp, _ := post(`{"kind":"unregistered"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown kind: HTTP %d, want 400", resp.StatusCode)
 	}
+	// 8 PEs pick the 2x2x2 grid, whose shard split cannot cut n=30:
+	// the same geometry check matmul.Run applies rejects it at admission.
+	if resp, body := post(`{"kind":"matmul","n":30,"pes":8}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), "grid [2 2 2]") {
+		t.Fatalf("matmul n=30 on 8 PEs: HTTP %d (%s), want 400 naming the grid", resp.StatusCode, body)
+	}
 
 	resp, body := post(`{"kind":"stencil","validate":true}`)
 	if resp.StatusCode != http.StatusAccepted {

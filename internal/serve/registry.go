@@ -11,7 +11,7 @@ import (
 	"repro/internal/apps/stencil"
 	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/lb"
+	"repro/internal/launch"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 )
@@ -30,8 +30,8 @@ type Env struct {
 	KillVia chaos.Killer
 }
 
-// world returns the rank count (1 under the real backend).
-func (e Env) world() int {
+// World returns the rank count (1 under the real backend).
+func (e Env) World() int {
 	if e.Net == nil {
 		return 1
 	}
@@ -99,20 +99,15 @@ func Normalize(env Env, s *Spec) error {
 	if s.PEs < 0 || s.PEs > maxPEs {
 		return fmt.Errorf("pes out of range [0, %d]", maxPEs)
 	}
-	if s.Kill != "" {
-		if env.Backend != charm.NetBackend {
-			return fmt.Errorf("kill needs the net backend (daemon runs %v)", env.Backend)
-		}
-		k, err := chaos.ParseKill(s.Kill)
-		if err != nil {
-			return err
-		}
-		if k.Rank <= 0 || k.Rank >= env.world() {
-			return fmt.Errorf("kill rank %d out of worker range [1, %d)", k.Rank, env.world())
-		}
-		if k.Step > maxKillAt {
-			return fmt.Errorf("kill step %d out of range [1, %d]", k.Step, maxKillAt)
-		}
+	kill, err := chaos.ParseKill(s.Kill)
+	if err == nil {
+		err = launch.CheckKill(kill, env.Backend, env.World())
+	}
+	if err != nil {
+		return err
+	}
+	if kill != nil && kill.Step > maxKillAt {
+		return fmt.Errorf("kill step %d out of range [1, %d]", kill.Step, maxKillAt)
 	}
 	return k.normalize(env, s)
 }
@@ -166,24 +161,14 @@ func errStrings(errs []error) []string {
 	return out
 }
 
-func parseKill(s string) *chaos.Kill {
-	if s == "" {
-		return nil
-	}
-	k, err := chaos.ParseKill(s)
-	if err != nil {
-		return nil // normalized specs cannot reach here with a bad value
-	}
-	return k
-}
-
 // PrepareKill pins the spec's chaos trigger for the whole job. The
 // owner of a recovery loop must call it before its first Execute so
 // every attempt shares one Kill object — Fire's one-shot guard is per
 // object, and a fresh Kill per attempt would re-kill the respawned
 // worker on every retry until the recovery budget ran out.
 func (s *Spec) PrepareKill(env Env) {
-	s.chaosKill = parseKill(s.Kill)
+	// Normalized specs carry a valid kill or none, so the error is nil.
+	s.chaosKill, _ = chaos.ParseKill(s.Kill)
 	if s.chaosKill != nil {
 		s.chaosKill.Via = env.KillVia
 	}
@@ -236,7 +221,7 @@ func runPingpong(env Env, s Spec) (Outcome, []error) {
 
 func normalizeStencil(env Env, s *Spec) error {
 	if s.PEs == 0 {
-		s.PEs = env.world() * 2
+		s.PEs = env.World() * 2
 	}
 	if s.NX == 0 && s.NY == 0 && s.NZ == 0 {
 		s.NX, s.NY, s.NZ = 16, 16, 8
@@ -256,18 +241,14 @@ func normalizeStencil(env Env, s *Spec) error {
 	if s.Size != 0 || s.N != 0 {
 		return fmt.Errorf("stencil takes pes/nx/ny/nz/vr/iters/warmup/validate/mode/lb_*/skew only")
 	}
-	if s.LBEvery < 0 || s.LBEvery > maxIters {
+	if s.LBEvery > maxIters {
 		return fmt.Errorf("lb_every out of range [0, %d]", maxIters)
 	}
 	if s.LBEvery > 0 && s.LBStrategy == "" {
 		s.LBStrategy = "greedy"
 	}
-	strat, err := lb.ParseStrategy(s.LBStrategy)
-	if err != nil {
+	if err := launch.CheckLB(s.LBEvery, s.LBStrategy); err != nil {
 		return err
-	}
-	if s.LBEvery > 0 && strat == nil {
-		return fmt.Errorf("lb_every needs a strategy (have: greedy)")
 	}
 	if s.Skew < 0 || s.Skew > 1e6 {
 		return fmt.Errorf("skew out of range [0, 1e6]")
@@ -320,20 +301,8 @@ func normalizeMatmul(env Env, s *Spec) error {
 	if s.Iters == 0 {
 		s.Iters = 2
 	}
-	// Mirror matmul.Run's geometry requirements so an incompatible
-	// request is a 400, not a failed job: N must divide evenly by the
-	// near-cubic grid chosen for PEs, including the shard subdivisions.
-	g := [3]int{1, 1, 1}
-	for i := 0; g[0]*g[1]*g[2] < s.PEs; i++ {
-		g[i%3] *= 2
-	}
-	for d := 0; d < 3; d++ {
-		if s.N%g[d] != 0 || s.N/g[d] < 1 {
-			return fmt.Errorf("n=%d not divisible by the PE grid %v (try a power of two)", s.N, g)
-		}
-	}
-	if (s.N/g[0])%g[1] != 0 || (s.N/g[2])%g[0] != 0 || (s.N/g[0])%g[2] != 0 {
-		return fmt.Errorf("n=%d incompatible with the PE grid %v shard split (try a power of two)", s.N, g)
+	if err := matmul.CheckGeometry(s.PEs, s.N); err != nil {
+		return err
 	}
 	if s.Size != 0 || s.NX != 0 || s.NY != 0 || s.NZ != 0 || s.Virtualization != 0 || s.LBEvery != 0 || s.LBStrategy != "" || s.Skew != 0 {
 		return fmt.Errorf("matmul takes pes/n/iters/warmup/validate/mode only")
@@ -373,7 +342,7 @@ func runMatmul(env Env, s Spec) (Outcome, []error) {
 
 func normalizeFem(env Env, s *Spec) error {
 	if s.PEs == 0 {
-		s.PEs = env.world() * 2
+		s.PEs = env.World() * 2
 	}
 	if s.NX == 0 && s.NY == 0 {
 		s.NX, s.NY = 16, 16
